@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceeded, ChiLieError, IndexOutOfRange
+from .errors import BudgetExceeded, ChiLieError, DimensionMismatch, IndexOutOfRange
 from .liealg import LieAlgebra
-from .linalg import ONE, Vector, format_rational, rational, vector, zero_vector
+from .linalg import ONE, ZERO, Vector, densify, format_rational, rational, sparsify, vector
 
 Word = tuple[int, ...]
 
@@ -257,23 +257,34 @@ class BracketExpr:
 
 
 def eval_in_algebra(expr: BracketExpr, images: Sequence[Vector], algebra: LieAlgebra) -> Vector:
-    """Evaluate an expression with the given generator images."""
-    if expr.kind == "gen":
-        if expr.index >= len(images):
-            raise IndexOutOfRange(f"expression uses generator {expr.index}, only {len(images)} given")
-        return images[expr.index]
-    if expr.kind == "scale":
-        inner = eval_in_algebra(expr.parts[0], images, algebra)
-        return tuple(expr.coeff * x for x in inner)
-    if expr.kind == "sum":
-        acc = list(zero_vector(algebra.dim))
-        for p in expr.parts:
-            for k, x in enumerate(eval_in_algebra(p, images, algebra)):
-                acc[k] += x
-        return tuple(acc)
-    a = eval_in_algebra(expr.parts[0], images, algebra)
-    b = eval_in_algebra(expr.parts[1], images, algebra)
-    return algebra.bracket(a, b)
+    """Evaluate an expression with the given generator images.
+
+    The tree is evaluated on sparse {index: coefficient} dicts through
+    ``LieAlgebra.bracket_sparse``; only the result is made dense.
+    """
+    sparse_images: dict[int, dict[int, Fraction]] = {}
+
+    def ev(e: BracketExpr) -> dict[int, Fraction]:
+        if e.kind == "gen":
+            if e.index >= len(images):
+                raise IndexOutOfRange(f"expression uses generator {e.index}, only {len(images)} given")
+            img = sparse_images.get(e.index)
+            if img is None:
+                if len(images[e.index]) != algebra.dim:
+                    raise DimensionMismatch("generator images must match the algebra dimension")
+                img = sparse_images[e.index] = sparsify(images[e.index])
+            return img
+        if e.kind == "scale":
+            return {k: e.coeff * x for k, x in ev(e.parts[0]).items()} if e.coeff else {}
+        if e.kind == "sum":
+            acc: dict[int, Fraction] = {}
+            for p in e.parts:
+                for k, x in ev(p).items():
+                    acc[k] = acc.get(k, ZERO) + x
+            return {k: x for k, x in acc.items() if x}
+        return algebra.bracket_sparse(ev(e.parts[0]), ev(e.parts[1]))
+
+    return densify(ev(expr), algebra.dim)
 
 
 # -- free nilpotent algebras ------------------------------------------------
@@ -349,11 +360,6 @@ class FreeNilpotentAlgebra:
         if not 0 <= i < self.generators:
             raise IndexOutOfRange(f"generator {i} out of range for {self.generators} letters")
         return self.algebra.basis_vector(i)
-
-    def degree_component(self, d: int) -> range:
-        lo = next((t for t, deg in enumerate(self.degrees) if deg == d), len(self.words))
-        hi = next((t for t, deg in enumerate(self.degrees) if deg > d), len(self.words))
-        return range(lo, hi)
 
     def bracketing_poly(self, w: Word) -> Poly:
         return _bracketing_poly(self._polys, w)

@@ -25,8 +25,10 @@ from .linalg import (
     SparseEchelon,
     Subspace,
     Vector,
+    densify,
     format_rational,
     rational,
+    sparsify,
     unit_vector,
     vector,
     zero_vector,
@@ -105,18 +107,31 @@ class LieAlgebra:
             out[k] = c
         return tuple(out)
 
+    def bracket_sparse(self, u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Bracket of two {index: coefficient} dicts, without zero entries.
+
+        Only the pairs of the two supports are visited, so the cost is
+        |supp u| * |supp v| table lookups, whatever the size of the table.
+        """
+        table = self.table
+        out: dict[int, Fraction] = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                if i == j:
+                    continue
+                terms = table.get((i, j) if i < j else (j, i))
+                if terms:
+                    coef = a * b if i < j else -(a * b)
+                    for k, c in terms:
+                        out[k] = out.get(k, ZERO) + coef * c
+        return {k: x for k, x in out.items() if x}
+
     def bracket(self, u: Sequence, v: Sequence) -> Vector:
         u = vector(u)
         v = vector(v)
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("bracket arguments must match the algebra dimension")
-        out = [ZERO] * self.dim
-        for (i, j), terms in self.table.items():
-            coef = u[i] * v[j] - u[j] * v[i]
-            if coef != 0:
-                for k, c in terms:
-                    out[k] += coef * c
-        return tuple(out)
+        return densify(self.bracket_sparse(sparsify(u), sparsify(v)), self.dim)
 
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.dim, i)
@@ -147,6 +162,8 @@ class LieAlgebra:
             table: dict[tuple[int, int], list] = {}
             for ent in data["brackets"]:
                 key = (int(ent["i"]), int(ent["j"]))
+                if key in table:
+                    raise InvalidAlgebra(f"duplicate bracket key ({key[0]},{key[1]})")
                 table[key] = [(int(t["k"]), rational(t["c"])) for t in ent["terms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidAlgebra(f"malformed Lie algebra JSON: {exc}") from exc
@@ -346,11 +363,15 @@ class LieHom:
         self.codomain = codomain
         self.matrix = matrix
         if check:
-            cols = [matrix.column(i) for i in range(domain.dim)]
+            cols = [sparsify(matrix.column(i)) for i in range(domain.dim)]
             for (i, j) in _all_pairs(domain.dim):
-                lhs = matrix.matvec(domain.bracket_basis(i, j))
-                rhs = codomain.bracket(cols[i], cols[j])
-                if lhs != rhs:
+                # M[e_i, e_j] = sum of c * M e_k over the table entry of (i, j)
+                lhs: dict[int, Fraction] = {}
+                for k, c in domain.pair_terms(i, j):
+                    for r, x in cols[k].items():
+                        lhs[r] = lhs.get(r, ZERO) + c * x
+                rhs = codomain.bracket_sparse(cols[i], cols[j])
+                if {r: x for r, x in lhs.items() if x} != rhs:
                     raise NotWellDefined(
                         f"map does not respect the bracket on basis pair ({i},{j})"
                     )

@@ -64,17 +64,20 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c: Fraction, u: Vector) -> Vector:
-    c = rational(c)
-    return tuple(c * a for a in u)
-
-
 def vec_is_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
 
 
-def concat(u: Vector, v: Vector) -> Vector:
-    return u + v
+def sparsify(u: Sequence) -> dict[int, Fraction]:
+    """{index: entry} of the nonzero entries, each coerced by ``rational``."""
+    return {i: rational(a) for i, a in enumerate(u) if a}
+
+
+def densify(d: dict[int, Fraction], n: int) -> Vector:
+    out = [ZERO] * n
+    for i, a in d.items():
+        out[i] = a
+    return tuple(out)
 
 
 class Matrix:

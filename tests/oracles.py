@@ -117,3 +117,70 @@ def brute_lyndon_count(m: int, d: int) -> int:
         if all(w < w[r:] + w[:r] for r in range(1, d)):
             count += 1
     return count
+
+
+def dense_bracket(
+    dim: int, table: dict[tuple[int, int], tuple], u: list[Fraction], v: list[Fraction]
+) -> list[Fraction]:
+    """[u, v] by a loop over the whole structure table (i < j keys)."""
+    out = [Fraction(0)] * dim
+    for (i, j), terms in table.items():
+        coef = u[i] * v[j] - u[j] * v[i]
+        if coef != 0:
+            for k, c in terms:
+                out[k] += coef * c
+    return out
+
+
+def dense_eval(expr, images: list[list[Fraction]], dim: int, table) -> list[Fraction]:
+    """Value of a bracket expression tree, every node a dense vector."""
+    if expr.kind == "gen":
+        return list(images[expr.index])
+    if expr.kind == "scale":
+        return [expr.coeff * x for x in dense_eval(expr.parts[0], images, dim, table)]
+    if expr.kind == "sum":
+        acc = [Fraction(0)] * dim
+        for p in expr.parts:
+            acc = [a + b for a, b in zip(acc, dense_eval(p, images, dim, table))]
+        return acc
+    a = dense_eval(expr.parts[0], images, dim, table)
+    b = dense_eval(expr.parts[1], images, dim, table)
+    return dense_bracket(dim, table, a, b)
+
+
+def dense_hom_defect(
+    dom_dim: int, dom_table, cod_dim: int, cod_table, rows: list[list[Fraction]]
+) -> tuple[int, int] | None:
+    """First basis pair (i, j), i < j, with M[e_i, e_j] != [M e_i, M e_j], or None.
+
+    rows is the cod_dim x dom_dim matrix M.
+    """
+    cols = [[rows[r][i] for r in range(cod_dim)] for i in range(dom_dim)]
+    for i in range(dom_dim):
+        for j in range(i + 1, dom_dim):
+            e = [Fraction(0)] * dom_dim
+            for k, c in dom_table.get((i, j), ()):
+                e[k] += c
+            lhs = [sum((a * b for a, b in zip(row, e)), Fraction(0)) for row in rows]
+            if lhs != dense_bracket(cod_dim, cod_table, cols[i], cols[j]):
+                return (i, j)
+    return None
+
+
+def rebased_table(
+    dim: int, table, p: list[list[Fraction]]
+) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+    """Structure table in the basis f_a = sum_i p[i][a] e_i (p invertible)."""
+    aug = [list(p[i]) + [Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    red, _ = gauss_rref(aug)
+    pinv = [row[dim:] for row in red]
+    cols = [[p[i][a] for i in range(dim)] for a in range(dim)]
+    out = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            br = dense_bracket(dim, table, cols[a], cols[b])
+            coords = [sum((pinv[r][i] * br[i] for i in range(dim)), Fraction(0)) for r in range(dim)]
+            terms = [(k, c) for k, c in enumerate(coords) if c != 0]
+            if terms:
+                out[(a, b)] = terms
+    return out

@@ -135,6 +135,21 @@ def test_invalid_algebra_is_an_input_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_duplicate_bracket_key_is_an_input_error(tmp_path):
+    path = tmp_path / "dup.json"
+    doc = heisenberg(3).to_json_dict()
+    doc["brackets"].append({"i": 0, "j": 1, "terms": []})
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chi_lie.cli", "chi", "--input", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "duplicate bracket key (0,1)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_unknown_catalog_name_is_an_input_error(capsys):
     code, _, _ = run_cli(capsys, "chi", "--catalog", "mystery")
     assert code == 1

@@ -282,6 +282,16 @@ def test_json_serializes_rationals_as_strings():
     assert LieAlgebra.from_json_dict(doc).table == g.table
 
 
+def test_json_duplicate_bracket_key_is_rejected():
+    from chi_lie import InvalidAlgebra
+
+    doc = h3.to_json_dict()
+    # a later empty entry for (0, 1) would otherwise make the table abelian
+    doc["brackets"].append({"i": 0, "j": 1, "terms": []})
+    with pytest.raises(InvalidAlgebra, match=r"duplicate bracket key \(0,1\)"):
+        LieAlgebra.from_json_dict(doc)
+
+
 def test_hom_json_shape():
     q, pi = quotient(h3, Subspace.span([h3.basis_vector(2)], 3))
     doc = pi.to_json_dict()
