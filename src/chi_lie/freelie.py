@@ -12,13 +12,13 @@ with leading coefficient 1, so all structure constants are integers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceeded, ChiLieError, DimensionMismatch, IndexOutOfRange
 from .liealg import LieAlgebra
-from .linalg import ONE, ZERO, Vector, densify, format_rational, rational, sparsify, vector
+from .linalg import ONE, ZERO, Vector, densify, format_rational, rational, sparsify
 
 Word = tuple[int, ...]
 
@@ -350,7 +350,6 @@ class FreeNilpotentAlgebra:
     degrees: tuple[int, ...]
     algebra: LieAlgebra
     table_int: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-    _polys: dict[Word, Poly] = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -360,13 +359,6 @@ class FreeNilpotentAlgebra:
         if not 0 <= i < self.generators:
             raise IndexOutOfRange(f"generator {i} out of range for {self.generators} letters")
         return self.algebra.basis_vector(i)
-
-    def bracketing_poly(self, w: Word) -> Poly:
-        return _bracketing_poly(self._polys, w)
-
-    def decompose(self, poly: Poly) -> list[tuple[int, int]]:
-        """Express a Lie-element polynomial in the Lyndon basis."""
-        return _decompose(self._polys, self.index, poly)
 
 
 _FREE_CACHE: dict[tuple[int, int], FreeNilpotentAlgebra] = {}
@@ -422,21 +414,7 @@ def build_free_nilpotent(m: int, c: int, budget: int | None = None) -> FreeNilpo
         degrees=degrees,
         algebra=algebra,
         table_int=table_int,
-        _polys=polys,
     )
     _FREE_CACHE[(m, c)] = f
     return f
 
-
-def normal_form(f: FreeNilpotentAlgebra, a: Sequence, b: Sequence) -> Vector:
-    """Bracket of two coordinate vectors in the Lyndon basis, truncated."""
-    return f.algebra.bracket(vector(a), vector(b))
-
-
-def eval_expr(f: FreeNilpotentAlgebra, e: BracketExpr) -> Vector:
-    """Evaluate an expression on the free algebra's own generators."""
-    for leaf in e.leaves():
-        if leaf >= f.generators:
-            raise IndexOutOfRange(f"expression leaf {leaf} outside {f.generators} generators")
-    images = [f.generator_vector(i) for i in range(f.generators)]
-    return eval_in_algebra(e, images, f.algebra)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
 
 from .errors import ConsistencyFailure, NotNilpotent
 from .freelie import FreeNilpotentAlgebra, build_free_nilpotent
@@ -30,6 +30,7 @@ from .liealg import (
     quotient,
 )
 from .linalg import (
+    ONE,
     ZERO,
     Matrix,
     SparseEchelon,
@@ -37,6 +38,7 @@ from .linalg import (
     Vector,
     column_space,
     complement_coords,
+    integral,
     kernel,
     vec_is_zero,
 )
@@ -157,21 +159,11 @@ def _hopf_setting(g: LieAlgebra, budget: int | None = None) -> HopfData:
 
     # relator values of the structure presentation, directly in integer form:
     # the bracket of two generator words is the basis word (i, j)
-    seeds = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = 1
-            for _, coef in g.pair_terms(i, j):
-                den = den * coef.denominator // gcd(den, coef.denominator)
-            seed: dict[int, int] = {}
-            seed[f.index[(i, j)]] = den
-            for k, coef in g.pair_terms(i, j):
-                val = seed.get(k, 0) - int(coef * den)
-                if val:
-                    seed[k] = val
-                elif k in seed:
-                    del seed[k]
-            seeds.append(seed)
+    seeds = [
+        integral({f.index[(i, j)]: ONE, **{k: -coef for k, coef in g.pair_terms(i, j)}})
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
     rel = ideal_closure_echelon(f, seeds)
     if rel.rank != f.dim - n:
         raise ConsistencyFailure(
@@ -230,47 +222,37 @@ class ExteriorSquare:
 
 
 def exterior_square(g: LieAlgebra) -> ExteriorSquare:
-    """Quotient of the wedge square by the two bracket-compatibility families.
+    """Quotient of the wedge square by the bracket-compatibility relations.
 
-    The first family rewrites a bracket in the left slot, the second in the
-    right slot.  The bracket on the quotient wedges the bracket values of
-    the two classes; that is well-defined exactly because the bracket map
-    kills every relation vector, which is asserted here.
+    The relation of a triple is [e_i,e_j]^e_k - [e_i,e_k]^e_j - e_i^[e_j,e_k].
+    It is alternating in (i, j, k), so it vanishes on repeated indices, and
+    the family that rewrites a bracket in the right slot is its negative;
+    each relation is therefore stated once, for i < j < k.  The bracket on
+    the quotient wedges the bracket values of the two classes; that is
+    well-defined exactly because the bracket map kills every relation
+    vector, which is asserted here.
     """
     n = g.dim
     pairs = wedge_pairs(n)
+    pidx = {p: t for t, p in enumerate(pairs)}
     nw = len(pairs)
 
-    def wv(u: Vector, v: Vector) -> Vector:
-        return wedge_vector(u, v, pairs)
+    def wedge_into(acc: dict[int, Fraction], sign: int, u, v) -> None:
+        # acc += sign * (u ^ v) for u, v given as (index, coefficient) terms
+        for a, x in u:
+            for b, y in v:
+                if a != b:
+                    t, sg = (pidx[(a, b)], sign) if a < b else (pidx[(b, a)], -sign)
+                    acc[t] = acc.get(t, ZERO) + sg * x * y
 
-    basis = [g.basis_vector(i) for i in range(n)]
-    rel_vectors = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bij = g.bracket_basis(i, j)
-                bjk = g.bracket_basis(j, k)
-                bik = g.bracket_basis(i, k)
-                # bracket in the left slot of the wedge
-                r5 = tuple(
-                    a - b - c
-                    for a, b, c in zip(
-                        wv(bij, basis[k]), wv(bik, basis[j]), wv(basis[i], bjk)
-                    )
-                )
-                # bracket in the right slot of the wedge
-                r6 = tuple(
-                    a - b - c
-                    for a, b, c in zip(
-                        wv(basis[i], bjk), wv(bij, basis[k]), wv(basis[j], bik)
-                    )
-                )
-                if not vec_is_zero(r5):
-                    rel_vectors.append(r5)
-                if not vec_is_zero(r6):
-                    rel_vectors.append(r6)
-    relations = Subspace.span(rel_vectors, nw)
+    ech = SparseEchelon(nw)
+    for i, j, k in combinations(range(n), 3):
+        rel: dict[int, Fraction] = {}
+        wedge_into(rel, 1, g.pair_terms(i, j), ((k, ONE),))
+        wedge_into(rel, -1, g.pair_terms(i, k), ((j, ONE),))
+        wedge_into(rel, -1, ((i, ONE),), g.pair_terms(j, k))
+        ech.insert(integral(rel))
+    relations = ech.to_subspace()
 
     # the induced bracket map on wedge coordinates
     d2 = ce_boundary2(g)
@@ -299,7 +281,7 @@ def exterior_square(g: LieAlgebra) -> ExteriorSquare:
     for a in range(qdim):
         fa = phi_cols[a]
         for b in range(a + 1, qdim):
-            prod = project(wv(fa, phi_cols[b]))
+            prod = project(wedge_vector(fa, phi_cols[b], pairs))
             terms = [(t, x) for t, x in enumerate(prod) if x != 0]
             if terms:
                 table[(a, b)] = terms
@@ -358,13 +340,10 @@ def stem_extension(
         if piv is not None:
             kill.append(row)
 
-    kill_vectors = []
+    kill_span = SparseEchelon(f.dim)
     for row in kill:
-        dense = [ZERO] * f.dim
-        for cidx, val in row.items():
-            dense[cidx] = Fraction(val)
-        kill_vectors.append(tuple(dense))
-    ideal = Subspace.span(kill_vectors, f.dim)
+        kill_span.insert(row)
+    ideal = kill_span.to_subspace()
     if ideal.dim != data.relation_ideal.rank - h2_dim:
         raise ConsistencyFailure("stem ideal has the wrong codimension in the relations")
 

@@ -27,6 +27,7 @@ from .linalg import (
     Vector,
     densify,
     format_rational,
+    integral,
     rational,
     sparsify,
     unit_vector,
@@ -136,9 +137,6 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.dim, i)
 
-    def label_of(self, i: int) -> str:
-        return self.labels[i]
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -222,44 +220,35 @@ def validate(g: LieAlgebra) -> JacobiViolation | None:
 # -- subspace machinery -----------------------------------------------------
 
 
+def _seed_rows(vectors: Iterable[Sequence], dim: int) -> list[dict[int, int]]:
+    """Integer rows of the given vectors, each checked to have length dim."""
+    rows = []
+    for v in vectors:
+        if len(v) != dim:
+            raise DimensionMismatch(f"vector of length {len(v)} in an algebra of dimension {dim}")
+        rows.append(integral(sparsify(v)))
+    return rows
+
+
 def subalgebra_closure(g: LieAlgebra, vectors: Sequence[Sequence]) -> Subspace:
     """Smallest subalgebra containing the given vectors."""
-    ech = SparseEchelon(g.dim)
-    stored: list[Vector] = []
-    frontier: list[Vector] = []
+    stored: list[dict[int, int]] = []
 
-    def push(v: Vector) -> None:
-        piv = ech.insert_vector(v)
-        if piv is not None:
-            frontier.append(ech.row_vector(piv))
-
-    for v in vectors:
-        push(vector(v))
-    while frontier:
-        x = frontier.pop()
-        for y in stored:
-            push(g.bracket(x, y))
+    def step(x: dict[int, int]) -> list[dict[int, int]]:
+        out = [integral(g.bracket_sparse(x, y)) for y in stored]
         stored.append(x)
-    return ech.to_subspace()
+        return out
+
+    return SparseEchelon(g.dim).close(_seed_rows(vectors, g.dim), step).to_subspace()
 
 
 def ideal_closure(g: LieAlgebra, vectors: Sequence[Sequence]) -> Subspace:
     """Smallest ideal containing the given vectors."""
-    ech = SparseEchelon(g.dim)
-    frontier: list[Vector] = []
 
-    def push(v: Vector) -> None:
-        piv = ech.insert_vector(v)
-        if piv is not None:
-            frontier.append(ech.row_vector(piv))
+    def step(x: dict[int, int]) -> list[dict[int, int]]:
+        return [integral(g.bracket_sparse({i: ONE}, x)) for i in range(g.dim)]
 
-    for v in vectors:
-        push(vector(v))
-    while frontier:
-        x = frontier.pop()
-        for i in range(g.dim):
-            push(g.bracket(g.basis_vector(i), x))
-    return ech.to_subspace()
+    return SparseEchelon(g.dim).close(_seed_rows(vectors, g.dim), step).to_subspace()
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -412,42 +401,30 @@ def hom_from_generator_images(
 ) -> LieHom:
     """Unique homomorphism sending each generator to its image.
 
-    Closes the graph {(gen, image)} inside domain + codomain under the
-    componentwise bracket.  A pivot landing in the codomain block means the
-    images are inconsistent; a final rank below dim(domain) means the given
-    vectors do not generate.
+    The graph {(gen, image)} is closed as a subalgebra of domain + codomain.
+    A pivot in the codomain block means the images are inconsistent; a
+    rank below dim(domain) means the given vectors do not generate.
     """
     if len(generators) != len(images):
         raise DimensionMismatch("generator and image counts differ")
     dd, dc = domain.dim, codomain.dim
-    ech = SparseEchelon(dd + dc)
-    stored: list[tuple[Vector, Vector]] = []
-    frontier: list[tuple[Vector, Vector]] = []
-
-    def push(v: Vector, val: Vector) -> None:
-        piv = ech.insert_vector(v + val)
-        if piv is None:
-            return
-        if piv >= dd:
-            raise NotWellDefined(
-                "generator images are inconsistent: a relation in the domain "
-                "maps to a nonzero element of the codomain"
-            )
-        row = ech.row_vector(piv)
-        frontier.append((row[:dd], row[dd:]))
-
     for gvec, ivec in zip(generators, images):
-        push(vector(gvec), vector(ivec))
-    while frontier:
-        x, xv = frontier.pop()
-        for y, yv in stored:
-            push(domain.bracket(x, y), codomain.bracket(xv, yv))
-        stored.append((x, xv))
-    if ech.rank < dd:
-        raise NotGenerating(
-            f"given vectors generate a subalgebra of dimension {ech.rank} < {dd}"
+        if len(gvec) != dd or len(ivec) != dc:
+            raise DimensionMismatch(
+                f"generator of length {len(gvec)} and image of length {len(ivec)} "
+                f"for a map from dimension {dd} to dimension {dc}"
+            )
+    graph = subalgebra_closure(
+        direct_sum([domain, codomain]),
+        [tuple(gvec) + tuple(ivec) for gvec, ivec in zip(generators, images)],
+    )
+    if any(p >= dd for p in graph.pivots()):
+        raise NotWellDefined(
+            "generator images are inconsistent: a relation in the domain "
+            "maps to a nonzero element of the codomain"
         )
-    graph = ech.to_subspace()
+    if graph.dim < dd:
+        raise NotGenerating(f"given vectors generate a subalgebra of dimension {graph.dim} < {dd}")
     # fully reduced graph rows are (e_i | M e_i), so columns drop out directly
     cols = [row[dd:] for row in graph.basis_vectors()]
     return LieHom(domain, codomain, Matrix.from_columns(cols, dc))

@@ -4,17 +4,20 @@ Vectors are tuples of ``fractions.Fraction``, matrices are immutable tuples
 of row tuples, and subspaces are stored in reduced row echelon form so that
 equal subspaces compare equal structurally.  No floating point anywhere.
 
-``SparseEchelon`` backs the larger fixed-point computations elsewhere in
-the package (ideal closures, nilpotent quotients): an integer row-echelon
+``SparseEchelon`` is the one elimination: an integer row-echelon
 accumulator keyed by pivot column.  Rows are scale invariant, so plain
-integer arithmetic suffices; exact rational representatives are recovered
-on demand by tracking a single denominator.
+integer arithmetic suffices; ``integral`` clears the denominators of a
+rational vector on the way in, and ``to_subspace`` recovers the canonical
+rational RREF.  ``rref`` (and through it ``Subspace``, ``kernel`` and
+``rank``) is insertion plus ``to_subspace``.  ``SparseEchelon.close`` is the
+one closure loop: every fixed point of the package (subalgebra, ideal and
+graph closures, nilpotent quotients) is a ``step`` function handed to it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Sequence
 
 from .errors import AmbientMismatch, DimensionMismatch
 
@@ -102,10 +105,6 @@ class Matrix:
         return cls(tuple(unit_vector(n, i) for i in range(n)), n)
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(tuple(zero_vector(ncols) for _ in range(nrows)), ncols)
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
         colvecs = tuple(vector(c) for c in cols)
         if colvecs:
@@ -160,28 +159,13 @@ class Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [list(r) for r in m.rows]
-    nr, nc = len(rows), m.ncols
-    pivots: list[int] = []
-    r = 0
-    for col in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if rows[i][col] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r][col]
-        if lead != 1:
-            rows[r] = [x / lead for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return Matrix(tuple(tuple(row) for row in rows), nc), tuple(pivots)
+    """Reduced row echelon form, padded with zero rows, and pivot columns."""
+    ech = SparseEchelon(m.ncols)
+    for row in m.rows:
+        ech.insert(integral(sparsify(row)))
+    rows = ech.to_subspace().basis.rows
+    zeros = (zero_vector(m.ncols),) * (m.nrows - len(rows))
+    return Matrix(rows + zeros, m.ncols), tuple(ech.pivots())
 
 
 def rank(m: Matrix) -> int:
@@ -321,17 +305,10 @@ def complement_coords(s: Subspace) -> tuple[int, ...]:
 # sparse integer echelon
 
 
-def _int_dict(v: Sequence[Fraction]) -> tuple[dict[int, int], int]:
-    """Dense rational vector -> (integer coefficient dict, denominator)."""
-    den = 1
-    for x in v:
-        if x != 0:
-            den = den * x.denominator // gcd(den, x.denominator)
-    num = {}
-    for j, x in enumerate(v):
-        if x != 0:
-            num[j] = int(x * den)
-    return num, den
+def integral(d: dict[int, Fraction]) -> dict[int, int]:
+    """The rational dict times the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in d.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in d.items()}
 
 
 def _strip_gcd(num: dict[int, int], extra: int = 0) -> int:
@@ -406,9 +383,32 @@ class SparseEchelon:
                 _strip_gcd(num)
         return None
 
+    def close(
+        self,
+        seeds: Iterable[dict[int, int]],
+        step: Callable[[dict[int, int]], Iterable[dict[int, int]]],
+    ) -> "SparseEchelon":
+        """Insert the seeds, then step(row) for every row that takes a new pivot.
+
+        The worklist is LIFO and seeds go in their given order, so the rows
+        depend only on the seeds and ``step``.  ``step`` must not mutate the
+        stored row it is given.  Stops when no insertion adds a pivot.
+        """
+        work: list[dict[int, int]] = []
+
+        def push(vectors: Iterable[dict[int, int]]) -> None:
+            for v in vectors:
+                piv = self.insert(v) if v else None
+                if piv is not None:
+                    work.append(self.rows[piv])
+
+        push(seeds)
+        while work:
+            push(step(work.pop()))
+        return self
+
     def insert_vector(self, v: Sequence[Fraction]) -> int | None:
-        num, _ = _int_dict(v)
-        return self.insert(num)
+        return self.insert(integral(sparsify(v)))
 
     def reduce_intden(self, num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
         """Forward-eliminate every pivot coordinate; canonical modulo span."""
@@ -447,17 +447,15 @@ class SparseEchelon:
         return num, den
 
     def reduce_vector(self, v: Sequence[Fraction]) -> Vector:
-        num, den = _int_dict(v)
-        num, den = self.reduce_intden(num, den)
+        d = sparsify(v)
+        num, den = self.reduce_intden(integral(d), lcm(*(x.denominator for x in d.values())))
         out = [ZERO] * self.width
         for c, x in num.items():
             out[c] = Fraction(x, den)
         return tuple(out)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        num, _ = _int_dict(v)
-        num, _ = self.reduce_intden(num, 1)
-        return not num
+        return not self.reduce_intden(integral(sparsify(v)), 1)[0]
 
     def row_vector(self, pivot: int) -> Vector:
         out = [ZERO] * self.width

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import ChiLieError, ConsistencyFailure, InvalidAlgebra
 from .freelie import (
@@ -28,7 +27,7 @@ from .freelie import (
     eval_in_algebra,
 )
 from .liealg import LieAlgebra, subalgebra_closure, validate
-from .linalg import ONE, ZERO, SparseEchelon, Vector, vec_is_zero
+from .linalg import ONE, ZERO, SparseEchelon, Vector, integral, sparsify, vec_is_zero
 
 VALIDATE_DIM_LIMIT = 64
 
@@ -199,23 +198,11 @@ def ideal_closure_echelon(f: FreeNilpotentAlgebra, seeds) -> SparseEchelon:
     longer basis words unfold into generator brackets by the Jacobi
     identity, and the worklist revisits every new row.
     """
-    ech = SparseEchelon(f.dim)
-    frontier: list[dict[int, int]] = []
 
-    def push(num: dict[int, int]) -> None:
-        piv = ech.insert(num)
-        if piv is not None:
-            frontier.append(dict(ech.rows[piv]))
+    def step(row: dict[int, int]) -> list[dict[int, int]]:
+        return [int_bracket_with_generator(f, gen, row) for gen in range(f.generators)]
 
-    for s in seeds:
-        push(dict(s))
-    while frontier:
-        row = frontier.pop()
-        for gen in range(f.generators):
-            val = int_bracket_with_generator(f, gen, row)
-            if val:
-                push(val)
-    return ech
+    return SparseEchelon(f.dim).close(seeds, step)
 
 
 # -- quotient construction ---------------------------------------------------
@@ -274,13 +261,9 @@ def class_quotient(
     f = build_free_nilpotent(m, c, budget)
     gen_vectors = [f.generator_vector(i) for i in range(m)]
 
-    seeds = []
-    for r in reduced.relators:
-        value = eval_in_algebra(r, gen_vectors, f.algebra)
-        den = 1
-        for x in value:
-            den = den * x.denominator // gcd(den, x.denominator)
-        seeds.append({t: int(x * den) for t, x in enumerate(value) if x != 0})
+    seeds = [
+        integral(sparsify(eval_in_algebra(r, gen_vectors, f.algebra))) for r in reduced.relators
+    ]
     ech = ideal_closure_echelon(f, seeds)
 
     name = f"presented({p.generators} gens)/class<={c}"

@@ -5,6 +5,7 @@ lists so that agreement with the package is evidence, not tautology.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -183,4 +184,59 @@ def rebased_table(
             terms = [(k, c) for k, c in enumerate(coords) if c != 0]
             if terms:
                 out[(a, b)] = terms
+    return out
+
+
+def seeded_basis(dim: int, seed: int) -> list[list[Fraction]]:
+    """Unit lower times unit upper triangular integer matrix: invertible."""
+    rng = random.Random(seed)
+    low = [[Fraction(1) if i == j else Fraction(rng.randint(-2, 2)) if j < i else Fraction(0)
+            for j in range(dim)] for i in range(dim)]
+    up = [[Fraction(1) if i == j else Fraction(rng.randint(-2, 2)) if j > i else Fraction(0)
+           for j in range(dim)] for i in range(dim)]
+    return [[sum((low[i][k] * up[k][j] for k in range(dim)), Fraction(0)) for j in range(dim)]
+            for i in range(dim)]
+
+
+def brute_closure(dim: int, table, seeds: list[list[Fraction]], ideal: bool) -> list[list[Fraction]]:
+    """RREF rows of the subalgebra (or ideal) generated by the seeds.
+
+    Spans the seeds, adds the bracket of every spanning row with every
+    spanning row (or every basis vector), and repeats until the rank stops
+    growing.
+    """
+    basis = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    rows = gauss_rref([list(s) for s in seeds])[0]
+    while True:
+        others = basis if ideal else rows
+        grown = gauss_rref(rows + [dense_bracket(dim, table, a, b) for a in others for b in rows])[0]
+        if len(grown) == len(rows):
+            return rows
+        rows = grown
+
+
+def exterior_relations(dim: int, table) -> list[list[Fraction]]:
+    """Both bracket-compatibility families of the exterior square, over all n^3 triples.
+
+    The left-slot family rewrites [e_i,e_j]^e_k, the right-slot family
+    e_i^[e_j,e_k]; zero vectors are dropped.  Wedge coordinates are the
+    pairs (i, j), i < j, in lexicographic order.
+    """
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    basis = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+
+    def br(i: int, j: int) -> list[Fraction]:
+        return dense_bracket(dim, table, basis[i], basis[j])
+
+    def wv(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
+        return [u[i] * v[j] - u[j] * v[i] for i, j in pairs]
+
+    out = []
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                bij, bjk, bik = br(i, j), br(j, k), br(i, k)
+                left = [a - b - c for a, b, c in zip(wv(bij, basis[k]), wv(bik, basis[j]), wv(basis[i], bjk))]
+                right = [a - b - c for a, b, c in zip(wv(basis[i], bjk), wv(bij, basis[k]), wv(basis[j], bik))]
+                out.extend(r for r in (left, right) if any(r))
     return out

@@ -5,7 +5,6 @@ run on ``LieAlgebra.bracket_sparse``; the dense versions live in
 ``oracles`` and must agree on every catalog algebra and on a seeded
 rebased one.
 """
-import random
 from fractions import Fraction
 
 import pytest
@@ -25,26 +24,15 @@ from chi_lie import (
     eval_in_algebra,
     heisenberg,
 )
-from oracles import dense_bracket, dense_eval, dense_hom_defect, rebased_table
+from oracles import dense_bracket, dense_eval, dense_hom_defect, rebased_table, seeded_basis
 
 F = Fraction
 
 fixed_seed = settings(derandomize=True, max_examples=60, deadline=None)
 
 
-def _seeded_basis(dim: int, seed: int) -> list[list[Fraction]]:
-    """Unit lower times unit upper triangular integer matrix: invertible."""
-    rng = random.Random(seed)
-    low = [[F(1) if i == j else F(rng.randint(-2, 2)) if j < i else F(0) for j in range(dim)]
-           for i in range(dim)]
-    up = [[F(1) if i == j else F(rng.randint(-2, 2)) if j > i else F(0) for j in range(dim)]
-          for i in range(dim)]
-    return [[sum((low[i][k] * up[k][j] for k in range(dim)), F(0)) for j in range(dim)]
-            for i in range(dim)]
-
-
 def _rebased(g: LieAlgebra, seed: int) -> tuple[LieAlgebra, list[list[Fraction]]]:
-    p = _seeded_basis(g.dim, seed)
+    p = seeded_basis(g.dim, seed)
     return LieAlgebra(f"rebased {g.name}", g.dim, rebased_table(g.dim, g.table, p)), p
 
 

@@ -48,16 +48,37 @@ def test_rref_dependent_rows():
 
 
 def test_rref_zero_matrix():
-    red, pivots = rref(Matrix.zero(2, 3))
+    red, pivots = rref(Matrix([[0, 0, 0], [0, 0, 0]]))
     assert pivots == ()
     assert all(all(x == 0 for x in row) for row in red.rows)
 
 
-@given(small_matrix())
-@settings(max_examples=60, deadline=None)
+def tall_matrix(max_cols=6):
+    """Sparse rows (at most two nonzero entries) followed by many rows that
+    combine two earlier ones, so most rows are dependent."""
+
+    def build(nc):
+        row = st.dictionaries(st.integers(0, nc - 1), rationals, max_size=2).map(
+            lambda d: [d.get(j, F(0)) for j in range(nc)]
+        )
+        return st.lists(row, min_size=1, max_size=5).flatmap(
+            lambda base: st.lists(
+                st.tuples(st.integers(0, len(base) - 1), st.integers(0, len(base) - 1), rationals),
+                min_size=4,
+                max_size=15,
+            ).map(lambda combos: base + [[a + c * b for a, b in zip(base[i], base[j])]
+                                         for i, j, c in combos])
+        )
+
+    return st.integers(1, max_cols).flatmap(build)
+
+
+@given(st.one_of(small_matrix(), tall_matrix()))
+@settings(max_examples=100, deadline=None)
 def test_rref_idempotent_and_matches_oracle(rows):
     m = Matrix(rows)
     red, pivots = rref(m)
+    assert red.nrows == m.nrows and red.ncols == m.ncols
     again, pivots2 = rref(red)
     assert red.rows == again.rows
     assert pivots == pivots2
@@ -78,7 +99,7 @@ def test_kernel_rank_one():
 
 
 def test_kernel_zero_map_is_everything():
-    assert kernel(Matrix.zero(2, 3)).dim == 3
+    assert kernel(Matrix([[0, 0, 0], [0, 0, 0]])).dim == 3
 
 
 @given(small_matrix())
