@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BudgetExceeded, ChiLieError, DimensionMismatch, IndexOutOfRange
 from .liealg import LieAlgebra
@@ -256,24 +256,22 @@ class BracketExpr:
         return f"[{self.parts[0]},{self.parts[1]}]"
 
 
-def eval_in_algebra(expr: BracketExpr, images: Sequence[Vector], algebra: LieAlgebra) -> Vector:
-    """Evaluate an expression with the given generator images.
+def eval_sparse(
+    expr: BracketExpr,
+    images: Sequence[dict[int, Fraction]],
+    bracket: Callable[[dict[int, Fraction], dict[int, Fraction]], dict[int, Fraction]],
+) -> dict[int, Fraction]:
+    """Evaluate an expression on sparse {index: coefficient} generator images.
 
-    The tree is evaluated on sparse {index: coefficient} dicts through
-    ``LieAlgebra.bracket_sparse``; only the result is made dense.
+    ``bracket`` brackets two such dicts, for example
+    ``LieAlgebra.bracket_sparse``; the result has no zero entries.
     """
-    sparse_images: dict[int, dict[int, Fraction]] = {}
 
     def ev(e: BracketExpr) -> dict[int, Fraction]:
         if e.kind == "gen":
             if e.index >= len(images):
                 raise IndexOutOfRange(f"expression uses generator {e.index}, only {len(images)} given")
-            img = sparse_images.get(e.index)
-            if img is None:
-                if len(images[e.index]) != algebra.dim:
-                    raise DimensionMismatch("generator images must match the algebra dimension")
-                img = sparse_images[e.index] = sparsify(images[e.index])
-            return img
+            return images[e.index]
         if e.kind == "scale":
             return {k: e.coeff * x for k, x in ev(e.parts[0]).items()} if e.coeff else {}
         if e.kind == "sum":
@@ -282,9 +280,25 @@ def eval_in_algebra(expr: BracketExpr, images: Sequence[Vector], algebra: LieAlg
                 for k, x in ev(p).items():
                     acc[k] = acc.get(k, ZERO) + x
             return {k: x for k, x in acc.items() if x}
-        return algebra.bracket_sparse(ev(e.parts[0]), ev(e.parts[1]))
+        return bracket(ev(e.parts[0]), ev(e.parts[1]))
 
-    return densify(ev(expr), algebra.dim)
+    return ev(expr)
+
+
+def eval_in_algebra(expr: BracketExpr, images: Sequence[Vector], algebra: LieAlgebra) -> Vector:
+    """Evaluate an expression with the given dense generator images.
+
+    The images of the generators the expression uses are made sparse and
+    the tree is evaluated by ``eval_sparse`` through
+    ``LieAlgebra.bracket_sparse``; only the result is made dense.
+    """
+    sparse_images: list[dict[int, Fraction]] = [{}] * len(images)
+    for i in expr.leaves():
+        if i < len(images):
+            if len(images[i]) != algebra.dim:
+                raise DimensionMismatch("generator images must match the algebra dimension")
+            sparse_images[i] = sparsify(images[i])
+    return densify(eval_sparse(expr, sparse_images, algebra.bracket_sparse), algebra.dim)
 
 
 # -- free nilpotent algebras ------------------------------------------------

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import chi_lie.chi as chi_module
 from chi_lie import (
     ChiLieError,
+    ConsistencyFailure,
     InvalidAlgebra,
     LieAlgebra,
     NonvanishingH2,
@@ -14,6 +16,7 @@ from chi_lie import (
     NotStabilized,
     Subspace,
     abelian,
+    build,
     chi_presentation,
     compute_chi,
     compute_chi_superperfect,
@@ -22,9 +25,12 @@ from chi_lie import (
     heisenberg,
     image_rho_subspace,
     intersect,
+    paper_example_1,
     predicted_rho_image,
     sl2,
+    stable_quotient,
     validate,
+    witt_dim,
 )
 
 F = Fraction
@@ -209,6 +215,43 @@ def test_compute_chi_reports_unstable_sweep():
     with pytest.raises(NotStabilized) as exc:
         compute_chi(free_nilpotent(2, 3), max_class=4)
     assert exc.value.history == (4, 7, 13, 16)
+
+
+def test_default_max_class_is_twice_the_class_plus_two(monkeypatch):
+    seen = []
+
+    def spy(p, max_class, budget=None):
+        seen.append(max_class)
+        return stable_quotient(p, max_class, budget)
+
+    monkeypatch.setattr(chi_module, "stable_quotient", spy)
+    compute_chi(heisenberg(3))
+    assert seen == [6]
+
+
+def test_multiplier_mismatch_message_prints_w_minus_r(monkeypatch):
+    # paper_example_1 has dim W = 5 and dim R = 1 over H2 = 4; claim H2 = 5
+    real = chi_module.h2_ce
+    monkeypatch.setattr(chi_module, "h2_ce", lambda g: (real(g)[0] + 1, real(g)[1]))
+    with pytest.raises(ConsistencyFailure) as exc:
+        compute_chi(paper_example_1())
+    assert str(exc.value) == "dim W - dim R = 4 disagrees with the second homology 5"
+
+
+# beyond the old confirming class: the tail step stops these sweeps under the
+# default budget, where building one more class would not fit
+@pytest.mark.parametrize("name, params, chi_dim, w_dim, r_dim", [
+    ("heisenberg", (7,), 35, 20, 6),
+    ("upper_triangular_nil", (5,), 42, 16, 7),
+    ("free_nilpotent", (4, 2), 65, 39, 19),
+    ("heisenberg", (9,), 54, 35, 8),
+])
+def test_frontier_chi_under_the_default_budget(monkeypatch, name, params, chi_dim, w_dim, r_dim):
+    monkeypatch.delenv("CHI_LIE_BUDGET", raising=False)
+    c = compute_chi(build(name, params))
+    assert (c.chi.dim, c.W.dim, c.R.dim) == (chi_dim, w_dim, r_dim)
+    if name == "free_nilpotent":
+        assert c.W.dim - c.R.dim == witt_dim(4, 3) == 20
 
 
 def test_compute_chi_rejects_bad_method():

@@ -176,6 +176,12 @@ def test_budget_exhaustion_is_unsupported(monkeypatch, capsys):
     assert code == 3
 
 
+def test_verify_heisenberg7_fits_the_default_budget(monkeypatch, capsys):
+    monkeypatch.delenv("CHI_LIE_BUDGET", raising=False)
+    code, _, err = run_cli(capsys, "verify", "--catalog", "heisenberg", "7")
+    assert code == 0, err
+
+
 def test_perfect_with_multiplier_is_unsupported(tmp_path, capsys):
     from test_chi import sl2_module
 

@@ -1,22 +1,31 @@
 """Nilpotent quotients of finitely presented Lie algebras."""
 import pytest
 
+import chi_lie.nilquot as nilquot
 from chi_lie import (
+    ENTRIES,
     BracketExpr,
     BudgetExceeded,
     ChiLieError,
+    ConsistencyFailure,
+    LieAlgebra,
     Presentation,
+    SparseEchelon,
+    chi_presentation,
     class_quotient,
     eliminate_redundant_generators,
     eval_in_algebra,
     heisenberg,
     is_abelian,
+    is_nilpotent,
     stable_quotient,
     structure_presentation,
     subalgebra_closure,
+    tail_step_dim,
     validate,
     witt_dim,
 )
+from oracles import rebased_table, seeded_basis
 
 br = BracketExpr.br
 gen = BracketExpr.gen
@@ -158,3 +167,80 @@ def test_stable_quotient_budget_propagates():
 def test_zero_generator_presentation():
     res = class_quotient(Presentation(0, []), 2)
     assert res.algebra.dim == 0
+
+
+# -- the tail step against the next class -----------------------------------
+
+NILPOTENT = [e.build() for e in ENTRIES if is_nilpotent(e.build())]
+
+
+def _in_basis(g: LieAlgebra, seed: int) -> LieAlgebra:
+    """g itself for seed 0, else g in the seeded basis of that seed."""
+    if seed == 0:
+        return g
+    p = seeded_basis(g.dim, seed)
+    return LieAlgebra(f"rebased {g.name}", g.dim, rebased_table(g.dim, g.table, p))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("g", NILPOTENT, ids=lambda g: g.name)
+def test_tail_step_predicts_the_next_class(g, seed):
+    p = chi_presentation(_in_basis(g, seed))
+    cur = class_quotient(p, 1)
+    for c in range(1, 8):
+        predicted = tail_step_dim(cur, p.relators)
+        nxt = class_quotient(p, c + 1)
+        assert predicted == nxt.algebra.dim, f"class {c}"
+        if predicted == cur.algebra.dim:
+            return
+        cur = nxt
+    pytest.fail("the sweep did not stop by class 7")
+
+
+@pytest.mark.parametrize("m, top", [(2, 6), (3, 4)])
+def test_tail_step_on_free_presentations_gives_witt_partial_sums(m, top):
+    p = Presentation(m, [])
+    for c in range(1, top + 1):
+        expected = sum(witt_dim(m, k) for k in range(1, c + 2))
+        assert tail_step_dim(class_quotient(p, c), p.relators) == expected
+
+
+def test_wrong_prediction_raises_consistency_failure(monkeypatch):
+    real = nilquot.tail_step_dim
+    monkeypatch.setattr(
+        nilquot, "tail_step_dim", lambda qr, relators, budget=None: real(qr, relators, budget) + 1
+    )
+    with pytest.raises(ConsistencyFailure, match="predicted 8"):
+        stable_quotient(chi_presentation(heisenberg(3)), 6)
+
+
+def test_tail_step_budget_counts_the_tails_before_allocating_them(monkeypatch):
+    # chi(heisenberg(3)) at class 1: Q is spanned by x, y, x', y'; the images
+    # of z and z' vanish.  The 6 pairs of depth-1 elements and those 2
+    # generators take tails, so the step needs 4 + 8 = 12.
+    p = chi_presentation(heisenberg(3))
+    q1 = class_quotient(p, 1)
+    assert q1.algebra.dim == 4
+    widest = []
+    real_insert = SparseEchelon.insert
+
+    def spy(self, num):
+        widest.append(max(num, default=-1))
+        return real_insert(self, num)
+
+    monkeypatch.setattr(SparseEchelon, "insert", spy)
+    with pytest.raises(BudgetExceeded, match="8 tails") as err:
+        tail_step_dim(q1, p.relators, budget=11)
+    assert "12" in str(err.value) and "11" in str(err.value)
+    # no row touched a tail column (those start at 2 * dim Q)
+    assert max(widest) < 2 * 4
+    assert tail_step_dim(q1, p.relators, budget=12) == class_quotient(p, 2).algebra.dim == 7
+
+
+def test_stable_quotient_stops_on_the_tail_step():
+    # the stable class is never built: its free algebra would be over budget
+    p = chi_presentation(heisenberg(3))
+    res = stable_quotient(p, 6, budget=40)
+    assert res.stabilized and res.class_used == 3 and res.history == (4, 7, 9, 9)
+    with pytest.raises(BudgetExceeded):
+        class_quotient(p, 4, budget=40)
