@@ -369,11 +369,6 @@ def compute_chi_superperfect(g: LieAlgebra) -> ChiAlgebra:
 # -- the image of rho --------------------------------------------------------
 
 
-def image_rho_subspace(c: ChiAlgebra) -> Subspace:
-    """Image of rho inside g + g + g."""
-    return c.rho.image()
-
-
 def predicted_rho_image(g: LieAlgebra) -> Subspace:
     """The subspace {(x, y, z) : x - y + z in [g, g]} of g + g + g.
 

@@ -84,7 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_algebra(args: argparse.Namespace) -> LieAlgebra:
     if args.input is not None:
         with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError as exc:
+                raise InvalidAlgebra("input JSON nests too deeply") from exc
         return LieAlgebra.from_json_dict(data)
     name, *raw = args.catalog
     try:

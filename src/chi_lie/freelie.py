@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .errors import BudgetExceeded, ChiLieError, DimensionMismatch, IndexOutOfRange
 from .liealg import LieAlgebra
-from .linalg import ONE, ZERO, Vector, densify, format_rational, rational, sparsify
+from .linalg import ONE, ZERO, Vector, densify, rational, sparsify
 
 Word = tuple[int, ...]
 
@@ -223,37 +223,6 @@ class BracketExpr:
             return self
         return BracketExpr(self.kind, index=self.index, coeff=self.coeff,
                            parts=tuple(p.remap(index_map) for p in self.parts))
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "gen":
-            return {"gen": self.index}
-        if self.kind == "scale":
-            return {"scale": format_rational(self.coeff), "of": self.parts[0].to_json_dict()}
-        if self.kind == "sum":
-            return {"sum": [p.to_json_dict() for p in self.parts]}
-        return {"br": [self.parts[0].to_json_dict(), self.parts[1].to_json_dict()]}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "BracketExpr":
-        if "gen" in data:
-            return BracketExpr.gen(int(data["gen"]))
-        if "scale" in data:
-            return BracketExpr.scale(rational(data["scale"]), BracketExpr.from_json_dict(data["of"]))
-        if "sum" in data:
-            return BracketExpr.add(*(BracketExpr.from_json_dict(d) for d in data["sum"]))
-        if "br" in data:
-            a, b = data["br"]
-            return BracketExpr.br(BracketExpr.from_json_dict(a), BracketExpr.from_json_dict(b))
-        raise ChiLieError(f"malformed bracket expression JSON: {data!r}")
-
-    def __str__(self) -> str:
-        if self.kind == "gen":
-            return f"g{self.index}"
-        if self.kind == "scale":
-            return f"({self.coeff})*{self.parts[0]}"
-        if self.kind == "sum":
-            return "(" + " + ".join(str(p) for p in self.parts) + ")" if self.parts else "0"
-        return f"[{self.parts[0]},{self.parts[1]}]"
 
 
 def eval_sparse(

@@ -8,9 +8,7 @@ Three routes to the second homology, shared machinery none:
 * the kernel of the bracket map out of the nonabelian exterior square.
 
 They must produce the same number; ``compute_homology`` runs whichever
-apply and reports them side by side.  ``stem_extension`` realizes the
-multiplier as a central ideal of a covering algebra, which exercises the
-Hopf data through an independent construction.
+apply and reports them side by side.
 """
 from __future__ import annotations
 
@@ -20,15 +18,7 @@ from itertools import combinations
 
 from .errors import ConsistencyFailure, NotNilpotent
 from .freelie import FreeNilpotentAlgebra, build_free_nilpotent
-from .liealg import (
-    LieAlgebra,
-    LieHom,
-    center,
-    derived_subalgebra,
-    hom_from_generator_images,
-    nilpotency_class,
-    quotient,
-)
+from .liealg import LieAlgebra, LieHom, derived_subalgebra, nilpotency_class
 from .linalg import (
     ONE,
     ZERO,
@@ -197,28 +187,14 @@ def h2_hopf(g: LieAlgebra, budget: int | None = None) -> int:
 class ExteriorSquare:
     """Exterior square of an algebra with its bracket-induced map back.
 
-    ``generators`` lists the class of each coordinate wedge e_i ^ e_j
-    (pairs ordered lexicographically) in the quotient coordinates.
+    The quotient coordinates are the coordinate wedges e_i ^ e_j (pairs
+    ordered lexicographically) that are not pivots of the relations.
     """
 
     base: LieAlgebra
     dim: int
-    generators: tuple[Vector, ...]
     table: LieAlgebra
     phi: LieHom  # exterior square onto the derived subalgebra of base
-
-    def wedge(self, u, v) -> Vector:
-        """Class of u wedge v in the exterior square coordinates."""
-        pairs = wedge_pairs(self.base.dim)
-        full = wedge_vector(tuple(u), tuple(v), pairs)
-        out = [ZERO] * self.dim
-        for t, x in enumerate(full):
-            if x == 0:
-                continue
-            gvec = self.generators[t]
-            for s in range(self.dim):
-                out[s] += x * gvec[s]
-        return tuple(out)
 
 
 def exterior_square(g: LieAlgebra) -> ExteriorSquare:
@@ -269,11 +245,6 @@ def exterior_square(g: LieAlgebra) -> ExteriorSquare:
         red = relations.reduce(full)
         return tuple(red[c] for c in cc)
 
-    generators = []
-    ident = Matrix.identity(nw)
-    for t in range(nw):
-        generators.append(project(ident.row(t)))
-
     # bracket values of the quotient coordinates, one per complement pair
     phi_cols = [g.bracket_basis(*pairs[c]) for c in cc]
 
@@ -288,86 +259,13 @@ def exterior_square(g: LieAlgebra) -> ExteriorSquare:
     labels = [f"{g.labels[pairs[c][0]]}^{g.labels[pairs[c][1]]}" for c in cc]
     sq = LieAlgebra(f"{g.name} exterior square", qdim, table, labels, check=True)
     phi = LieHom(sq, g, Matrix.from_columns(phi_cols, n))
-    return ExteriorSquare(
-        base=g,
-        dim=qdim,
-        generators=tuple(generators),
-        table=sq,
-        phi=phi,
-    )
+    return ExteriorSquare(base=g, dim=qdim, table=sq, phi=phi)
 
 
 def schur_via_exterior(g: LieAlgebra) -> int:
     """Kernel dimension of the exterior square's bracket map."""
     sq = exterior_square(g)
     return sq.phi.kernel().dim
-
-
-# -- stem extensions ---------------------------------------------------------
-
-
-def stem_extension(
-    g: LieAlgebra, budget: int | None = None
-) -> tuple[LieAlgebra, Subspace, LieHom]:
-    """Cover of g with a central ideal realizing the multiplier.
-
-    Returns (h, Z, projection) where Z sits inside both the center and
-    the derived subalgebra of h, dim h = dim g + dim H2, and projection
-    maps h onto g with kernel exactly Z.
-    """
-    data = _hopf_setting(g, budget)
-    f = data.cover
-    n = g.dim
-    h2_dim = data.h2
-
-    # pick a complement of the multiplier inside the relations: start from
-    # the denominator span, mark the multiplier directions, then absorb
-    # every remaining relation direction into the kernel-to-be
-    marker = SparseEchelon(f.dim)
-    for p in data.denominator.pivots():
-        marker.insert(dict(data.denominator.rows[p]))
-    lifts = []
-    for v in data.numerator:
-        piv = marker.insert_vector(v)
-        if piv is not None:
-            lifts.append(v)
-    if len(lifts) != h2_dim:
-        raise ConsistencyFailure("multiplier lift count disagrees with the Hopf count")
-    kill = [data.denominator.rows[p] for p in data.denominator.pivots()]
-    for p in data.relation_ideal.pivots():
-        row = data.relation_ideal.rows[p]
-        piv = marker.insert(dict(row))
-        if piv is not None:
-            kill.append(row)
-
-    kill_span = SparseEchelon(f.dim)
-    for row in kill:
-        kill_span.insert(row)
-    ideal = kill_span.to_subspace()
-    if ideal.dim != data.relation_ideal.rank - h2_dim:
-        raise ConsistencyFailure("stem ideal has the wrong codimension in the relations")
-
-    cover, proj = quotient(f.algebra, ideal, name=f"{g.name} stem cover")
-    if cover.dim != n + h2_dim:
-        raise ConsistencyFailure("stem cover dimension disagrees with the multiplier")
-
-    # the central part is the image of the relations in the cover
-    central_vecs = [proj.apply(v) for v in data.numerator]
-    central = Subspace.span(central_vecs, cover.dim)
-    if central.dim != h2_dim:
-        raise ConsistencyFailure("central part dimension disagrees with the multiplier")
-    if not center(cover).contains_subspace(central):
-        raise ConsistencyFailure("stem kernel is not central in the cover")
-    if not derived_subalgebra(cover).contains_subspace(central):
-        raise ConsistencyFailure("stem kernel is not inside the derived subalgebra")
-
-    # the projection to g kills exactly the central part
-    gens = [proj.apply(f.generator_vector(i)) for i in range(n)]
-    images = [g.basis_vector(i) for i in range(n)]
-    pi = hom_from_generator_images(cover, gens, images, g)
-    if pi.kernel() != central:
-        raise ConsistencyFailure("stem projection kernel differs from the central part")
-    return cover, central, pi
 
 
 # -- combined report ---------------------------------------------------------

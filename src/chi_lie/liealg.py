@@ -155,20 +155,27 @@ class LieAlgebra:
     def from_json_dict(cls, data: dict, *, check: bool = True) -> "LieAlgebra":
         try:
             name = data["name"]
-            dim = int(data["dim"])
+            dim = _index(data["dim"])
             labels = list(data["basis"])
             table: dict[tuple[int, int], list] = {}
             for ent in data["brackets"]:
-                key = (int(ent["i"]), int(ent["j"]))
+                key = (_index(ent["i"]), _index(ent["j"]))
                 if key in table:
                     raise InvalidAlgebra(f"duplicate bracket key ({key[0]},{key[1]})")
-                table[key] = [(int(t["k"]), rational(t["c"])) for t in ent["terms"]]
-        except (KeyError, TypeError, ValueError) as exc:
+                table[key] = [(_index(t["k"]), rational(t["c"])) for t in ent["terms"]]
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidAlgebra(f"malformed Lie algebra JSON: {exc}") from exc
         return cls(name, dim, table, labels, check=check)
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
+
+
+def _index(x) -> int:
+    """A dimension or basis index from JSON: a true integer, never a truncated float or a bool."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{x!r} is not an integer")
+    return x
 
 
 @dataclass(frozen=True)
@@ -294,19 +301,6 @@ def is_abelian(g: LieAlgebra) -> bool:
 
 def is_perfect(g: LieAlgebra) -> bool:
     return derived_subalgebra(g).dim == g.dim
-
-
-def center(g: LieAlgebra) -> Subspace:
-    """{v : [v, g] = 0} via the stacked adjoint maps."""
-    from .linalg import kernel as _kernel
-
-    rows = []
-    for j in range(g.dim):
-        # row block for v -> [v, e_j], one row per output coordinate k
-        cols = [g.bracket_basis(i, j) for i in range(g.dim)]
-        for k in range(g.dim):
-            rows.append(tuple(col[k] for col in cols))
-    return _kernel(Matrix(rows, g.dim))
 
 
 def direct_sum(parts: Sequence[LieAlgebra], name: str | None = None) -> LieAlgebra:

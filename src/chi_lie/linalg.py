@@ -8,8 +8,8 @@ equal subspaces compare equal structurally.  No floating point anywhere.
 accumulator keyed by pivot column.  Rows are scale invariant, so plain
 integer arithmetic suffices; ``integral`` clears the denominators of a
 rational vector on the way in, and ``to_subspace`` recovers the canonical
-rational RREF.  ``rref`` (and through it ``Subspace``, ``kernel`` and
-``rank``) is insertion plus ``to_subspace``.  ``SparseEchelon.close`` is the
+rational RREF.  ``rref`` (and through it ``Subspace`` and ``kernel``) is
+insertion plus ``to_subspace``.  ``SparseEchelon.close`` is the
 one closure loop: every fixed point of the package (subalgebra, ideal and
 graph closures, nilpotent quotients) is a ``step`` function handed to it.
 """
@@ -168,10 +168,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix(rows + zeros, m.ncols), tuple(ech.pivots())
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
 def kernel(m: Matrix) -> "Subspace":
     """Right null space {v : m v = 0} as a subspace of Q^ncols."""
     red, pivots = rref(m)
@@ -265,12 +261,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatch("sum of subspaces in different ambients")
-    return Subspace.span(a.basis.rows + b.basis.rows, a.ambient_dim)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -445,17 +435,6 @@ class SparseEchelon:
             for c in num:
                 num[c] = -num[c]
         return num, den
-
-    def reduce_vector(self, v: Sequence[Fraction]) -> Vector:
-        d = sparsify(v)
-        num, den = self.reduce_intden(integral(d), lcm(*(x.denominator for x in d.values())))
-        out = [ZERO] * self.width
-        for c, x in num.items():
-            out[c] = Fraction(x, den)
-        return tuple(out)
-
-    def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        return not self.reduce_intden(integral(sparsify(v)), 1)[0]
 
     def row_vector(self, pivot: int) -> Vector:
         out = [ZERO] * self.width

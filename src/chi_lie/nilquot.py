@@ -40,8 +40,6 @@ from .freelie import (
 from .liealg import LieAlgebra, subalgebra_closure, validate
 from .linalg import ONE, ZERO, SparseEchelon, Vector, integral, sparsify
 
-VALIDATE_DIM_LIMIT = 64
-
 
 class Presentation:
     """Finitely many generators and Lie relator expressions."""
@@ -65,37 +63,8 @@ class Presentation:
             if bad:
                 raise ChiLieError(f"relator mentions unknown generator {bad[0]}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gens": self.generators,
-            "gen_labels": list(self.labels),
-            "relators": [r.to_json_dict() for r in self.relators],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Presentation":
-        try:
-            gens = int(data["gens"])
-            labels = data.get("gen_labels")
-            relators = [BracketExpr.from_json_dict(d) for d in data["relators"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ChiLieError(f"malformed presentation JSON: {exc}") from exc
-        return cls(gens, relators, labels)
-
     def __repr__(self) -> str:
         return f"Presentation({self.generators} generators, {len(self.relators)} relators)"
-
-
-def structure_presentation(g: LieAlgebra) -> Presentation:
-    """Presentation of g on its basis: one relator per basis pair."""
-    relators = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            terms = [BracketExpr.br(BracketExpr.gen(i), BracketExpr.gen(j))]
-            for k, c in g.pair_terms(i, j):
-                terms.append(BracketExpr.scale(-c, BracketExpr.gen(k)))
-            relators.append(BracketExpr.add(*terms))
-    return Presentation(g.dim, relators, g.labels)
 
 
 # -- generator elimination ---------------------------------------------------
@@ -240,7 +209,7 @@ def _reduce(ech: SparseEchelon, v: dict[int, Fraction]) -> tuple[dict[int, int],
 
 
 def _quotient_from_ideal(
-    f: FreeNilpotentAlgebra, ech: SparseEchelon, name: str, *, validate_result: bool
+    f: FreeNilpotentAlgebra, ech: SparseEchelon, name: str
 ) -> tuple[LieAlgebra, list[int]]:
     """Quotient of f by the echelonized ideal, on the non-pivot coordinates."""
     cc = ech.complement()
@@ -257,14 +226,13 @@ def _quotient_from_ideal(
                 table[(a, b)] = [(pos[k], Fraction(v, den)) for k, v in sorted(num.items())]
     labels = [f.algebra.labels[c] for c in cc]
     q = LieAlgebra(name, qdim, table, labels, check=False)
-    if validate_result and qdim <= VALIDATE_DIM_LIMIT:
-        bad = validate(q)
-        if bad is not None:
-            raise InvalidAlgebra(
-                f"quotient table fails Jacobi on triple {bad.triple}",
-                triple=bad.triple,
-                defect=bad.defect,
-            )
+    bad = validate(q)
+    if bad is not None:
+        raise InvalidAlgebra(
+            f"quotient table fails Jacobi on triple {bad.triple}",
+            triple=bad.triple,
+            defect=bad.defect,
+        )
     return q, cc
 
 
@@ -283,7 +251,7 @@ def class_quotient(
     ech = ideal_closure_echelon(f, [integral(evaluate(r)) for r in reduced.relators])
 
     name = f"presented({p.generators} gens)/class<={c}"
-    q, cc = _quotient_from_ideal(f, ech, name, validate_result=True)
+    q, cc = _quotient_from_ideal(f, ech, name)
 
     def project(v: dict[int, Fraction]) -> Vector:
         num, den = _reduce(ech, v)
@@ -297,11 +265,10 @@ def class_quotient(
             raise ConsistencyFailure(
                 "a relator does not vanish in the constructed quotient"
             )
-    if q.dim <= VALIDATE_DIM_LIMIT:
-        if subalgebra_closure(q, images).dim != q.dim:
-            raise ConsistencyFailure(
-                "generator images do not generate the constructed quotient"
-            )
+    if subalgebra_closure(q, images).dim != q.dim:
+        raise ConsistencyFailure(
+            "generator images do not generate the constructed quotient"
+        )
     return QuotientResult(
         algebra=q,
         generator_images=images,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chi import ChiAlgebra, image_rho_subspace, predicted_rho_image
+from .chi import ChiAlgebra, predicted_rho_image
 from .errors import InputMismatch
 from .homology import HomologyReport
 from .liealg import derived_subalgebra, is_perfect, subalgebra_closure
@@ -107,7 +107,7 @@ def run_checks(c: ChiAlgebra, h: HomologyReport) -> VerificationReport:
     )
 
     # C4: image of rho is the x - y + z in [g,g] subspace
-    actual = image_rho_subspace(c)
+    actual = c.rho.image()
     predicted = predicted_rho_image(g)
     ok = actual == predicted
     record(
@@ -260,7 +260,7 @@ def run_checks(c: ChiAlgebra, h: HomologyReport) -> VerificationReport:
         )
 
     # C12: rank-nullity across rho
-    im_rho = image_rho_subspace(c).dim
+    im_rho = c.rho.image().dim
     ok = chi.dim - c.W.dim == im_rho
     record(
         "C12",

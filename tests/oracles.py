@@ -1,13 +1,31 @@
 """Brute-force reference implementations, independent of the package.
 
-Everything here is written directly against fractions.Fraction and plain
-lists so that agreement with the package is evidence, not tautology.
+Everything up to the last section is written directly against
+fractions.Fraction and plain lists so that agreement with the package is
+evidence, not tautology.  The last section holds constructions built on
+the package that no command needs; they stay as cross-checks, the stem
+extension above all, which rebuilds the Hopf route's multiplier as a
+central ideal of a covering algebra.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from itertools import product
+
+from chi_lie import (
+    BracketExpr,
+    ConsistencyFailure,
+    Matrix,
+    Presentation,
+    SparseEchelon,
+    Subspace,
+    derived_subalgebra,
+    hom_from_generator_images,
+    kernel,
+    quotient,
+)
+from chi_lie.homology import _hopf_setting
 
 
 def gauss_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -240,3 +258,111 @@ def exterior_relations(dim: int, table) -> list[list[Fraction]]:
                 right = [a - b - c for a, b, c in zip(wv(basis[i], bjk), wv(bij, basis[k]), wv(basis[j], bik))]
                 out.extend(r for r in (left, right) if any(r))
     return out
+
+
+def exterior_classes(dim: int, table) -> tuple[list[tuple[int, int]], list[list[Fraction]]]:
+    """Quotient coordinates of the exterior square and the class of every coordinate wedge.
+
+    The quotient coordinates are the wedge pairs that are not pivots of the
+    reduced relations of ``exterior_relations``; the class of a pair lists
+    its coordinates there, for every pair (i, j), i < j, in lexicographic
+    order.
+    """
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    rows, pivots = gauss_rref(exterior_relations(dim, table))
+    cc = [t for t in range(len(pairs)) if t not in pivots]
+    classes = []
+    for t in range(len(pairs)):
+        if t in cc:
+            classes.append([Fraction(int(c == t)) for c in cc])
+        else:
+            classes.append([-rows[pivots.index(t)][c] for c in cc])
+    return [pairs[c] for c in cc], classes
+
+
+# -- package-built constructions that only tests use -------------------------
+
+
+def center(g):
+    """{v : [v, g] = 0} via the stacked adjoint maps."""
+    rows = []
+    for j in range(g.dim):
+        # row block for v -> [v, e_j], one row per output coordinate k
+        cols = [g.bracket_basis(i, j) for i in range(g.dim)]
+        for k in range(g.dim):
+            rows.append(tuple(col[k] for col in cols))
+    return kernel(Matrix(rows, g.dim))
+
+
+def structure_presentation(g):
+    """Presentation of g on its basis: one relator per basis pair."""
+    relators = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            terms = [BracketExpr.br(BracketExpr.gen(i), BracketExpr.gen(j))]
+            for k, c in g.pair_terms(i, j):
+                terms.append(BracketExpr.scale(-c, BracketExpr.gen(k)))
+            relators.append(BracketExpr.add(*terms))
+    return Presentation(g.dim, relators, g.labels)
+
+
+def stem_extension(g, budget: int | None = None):
+    """Cover of g with a central ideal realizing the multiplier.
+
+    Returns (h, Z, projection) where Z sits inside both the center and
+    the derived subalgebra of h, dim h = dim g + dim H2, and projection
+    maps h onto g with kernel exactly Z.
+    """
+    data = _hopf_setting(g, budget)
+    f = data.cover
+    n = g.dim
+    h2_dim = data.h2
+
+    # pick a complement of the multiplier inside the relations: start from
+    # the denominator span, mark the multiplier directions, then absorb
+    # every remaining relation direction into the kernel-to-be
+    marker = SparseEchelon(f.dim)
+    for p in data.denominator.pivots():
+        marker.insert(dict(data.denominator.rows[p]))
+    lifts = []
+    for v in data.numerator:
+        piv = marker.insert_vector(v)
+        if piv is not None:
+            lifts.append(v)
+    if len(lifts) != h2_dim:
+        raise ConsistencyFailure("multiplier lift count disagrees with the Hopf count")
+    kill = [data.denominator.rows[p] for p in data.denominator.pivots()]
+    for p in data.relation_ideal.pivots():
+        row = data.relation_ideal.rows[p]
+        piv = marker.insert(dict(row))
+        if piv is not None:
+            kill.append(row)
+
+    kill_span = SparseEchelon(f.dim)
+    for row in kill:
+        kill_span.insert(row)
+    ideal = kill_span.to_subspace()
+    if ideal.dim != data.relation_ideal.rank - h2_dim:
+        raise ConsistencyFailure("stem ideal has the wrong codimension in the relations")
+
+    cover, proj = quotient(f.algebra, ideal, name=f"{g.name} stem cover")
+    if cover.dim != n + h2_dim:
+        raise ConsistencyFailure("stem cover dimension disagrees with the multiplier")
+
+    # the central part is the image of the relations in the cover
+    central_vecs = [proj.apply(v) for v in data.numerator]
+    central = Subspace.span(central_vecs, cover.dim)
+    if central.dim != h2_dim:
+        raise ConsistencyFailure("central part dimension disagrees with the multiplier")
+    if not center(cover).contains_subspace(central):
+        raise ConsistencyFailure("stem kernel is not central in the cover")
+    if not derived_subalgebra(cover).contains_subspace(central):
+        raise ConsistencyFailure("stem kernel is not inside the derived subalgebra")
+
+    # the projection to g kills exactly the central part
+    gens = [proj.apply(f.generator_vector(i)) for i in range(n)]
+    images = [g.basis_vector(i) for i in range(n)]
+    pi = hom_from_generator_images(cover, gens, images, g)
+    if pi.kernel() != central:
+        raise ConsistencyFailure("stem projection kernel differs from the central part")
+    return cover, central, pi

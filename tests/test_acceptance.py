@@ -17,7 +17,6 @@ from chi_lie import (
     h2_ce,
     heisenberg,
     ideal_closure,
-    image_rho_subspace,
     intersect,
     is_nilpotent,
     lyndon_basis,
@@ -48,7 +47,7 @@ def test_abelian_dimension_formula_both_construction_paths():
             assert c.W.dim == pairs
             assert c.D.dim == pairs
             assert c.R.dim == 0
-            img = image_rho_subspace(c)
+            img = c.rho.image()
             assert img.dim == 2 * n
             assert img == predicted_rho_image(g)
         assert closed.L.dim == swept.L.dim
@@ -63,7 +62,7 @@ def test_dim4_example_full_profile(chi_of, homology_of):
     assert c.chi.dim == 14
     assert c.R.dim == 1
     assert c.W.dim == 5
-    assert image_rho_subspace(c).dim == 9
+    assert c.rho.image().dim == 9
     assert h.h2_ce_dim == h.h2_hopf_dim == h.h2_exterior_dim == 4
     report(2, "dim-4 example: chi = 14, R = 1, W = 5, rho image = 9, "
               "H2 = 4 by all three routes")
@@ -75,7 +74,7 @@ def test_free_nilpotent_rank3_class2_profile(chi_of, homology_of):
     assert c.chi.dim == 27
     assert c.R.dim == 4
     assert c.W.dim == 12
-    assert image_rho_subspace(c).dim == 15
+    assert c.rho.image().dim == 15
     assert h.h2_ce_dim == h.h2_hopf_dim == h.h2_exterior_dim == 8
     report(3, "free nilpotent rank 3 class 2: chi = 27, R = 4, W = 12, "
               "rho image = 15, H2 = 8 by all three routes")
@@ -99,7 +98,7 @@ def test_two_generated_heisenberg_splits_as_image_plus_multiplier(chi_of):
     assert oracle_h2 == 2
     c = chi_of("heisenberg", 3)
     assert c.R.dim == 0
-    img = image_rho_subspace(c).dim
+    img = c.rho.image().dim
     assert img == 7
     assert c.chi.dim == img + oracle_h2 == 9
     report(5, "heisenberg(3): R = 0 and dim chi = 7 + 2 splits as rho image "

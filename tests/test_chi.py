@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import chi_lie.chi as chi_module
+import chi_lie.nilquot as nilquot
 from chi_lie import (
     ChiLieError,
     ConsistencyFailure,
@@ -23,7 +24,6 @@ from chi_lie import (
     free_nilpotent,
     h2_ce,
     heisenberg,
-    image_rho_subspace,
     intersect,
     paper_example_1,
     predicted_rho_image,
@@ -97,7 +97,7 @@ def test_abelian_chi_dimensions_both_methods():
             assert c.W.dim == pairs
             assert c.D.dim == pairs
             assert c.R.dim == 0
-            assert image_rho_subspace(c).dim == 2 * n
+            assert c.rho.image().dim == 2 * n
         assert closed.chi.dim == swept.chi.dim
         assert closed.method == "abelian-closed-form"
         assert swept.method == "nilpotent-quotient"
@@ -110,7 +110,7 @@ def test_heisenberg_chi_profile(chi_of):
     assert c.D.dim == 3
     assert c.W.dim == 2
     assert c.R.dim == 0
-    assert image_rho_subspace(c).dim == 7
+    assert c.rho.image().dim == 7
 
 
 def test_dim4_example_chi_profile(chi_of):
@@ -120,7 +120,7 @@ def test_dim4_example_chi_profile(chi_of):
     assert c.D.dim == 6
     assert c.W.dim == 5
     assert c.R.dim == 1
-    assert image_rho_subspace(c).dim == 9
+    assert c.rho.image().dim == 9
 
 
 def test_rank3_class2_chi_profile(chi_of):
@@ -130,7 +130,7 @@ def test_rank3_class2_chi_profile(chi_of):
     assert c.D.dim == 15
     assert c.W.dim == 12
     assert c.R.dim == 4
-    assert image_rho_subspace(c).dim == 15
+    assert c.rho.image().dim == 15
     assert c.class_used == 4
     assert c.stabilized
 
@@ -203,7 +203,7 @@ def test_rho_image_matches_prediction(chi_of):
     for key in (("heisenberg", 3), ("paper_example_1",), ("free_nilpotent", 3, 2),
                 ("abelian", 3)):
         c = chi_of(*key)
-        assert image_rho_subspace(c) == predicted_rho_image(c.base)
+        assert c.rho.image() == predicted_rho_image(c.base)
 
 
 def test_compute_chi_rejects_non_nilpotent():
@@ -248,8 +248,18 @@ def test_multiplier_mismatch_message_prints_w_minus_r(monkeypatch):
 ])
 def test_frontier_chi_under_the_default_budget(monkeypatch, name, params, chi_dim, w_dim, r_dim):
     monkeypatch.delenv("CHI_LIE_BUDGET", raising=False)
+    # every class quotient gets Jacobi and the generation check, whatever its
+    # dimension: free_nilpotent(4,2)'s is 65
+    validated, generated = [], []
+    real_validate, real_closure = nilquot.validate, nilquot.subalgebra_closure
+    monkeypatch.setattr(nilquot, "validate", lambda q: validated.append(q.dim) or real_validate(q))
+    monkeypatch.setattr(
+        nilquot, "subalgebra_closure",
+        lambda q, gens: generated.append(q.dim) or real_closure(q, gens),
+    )
     c = compute_chi(build(name, params))
     assert (c.chi.dim, c.W.dim, c.R.dim) == (chi_dim, w_dim, r_dim)
+    assert validated[-1] == generated[-1] == chi_dim
     if name == "free_nilpotent":
         assert c.W.dim - c.R.dim == witt_dim(4, 3) == 20
 
@@ -312,7 +322,7 @@ def test_gen_images_have_full_count(chi_of):
 
 def test_abelian_rho_image_is_pullback_plane():
     c = compute_chi(abelian(2))
-    img = image_rho_subspace(c)
+    img = c.rho.image()
     assert img.dim == 4
     # the middle copy is forced equal to the sum of the outer ones
     for v in img.basis_vectors():

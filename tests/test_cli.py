@@ -150,6 +150,47 @@ def test_duplicate_bracket_key_is_an_input_error(tmp_path):
     assert proc.stdout == ""
 
 
+def run_verify_on(tmp_path, text):
+    """``chi-lie verify --input`` on a file with this text, in a fresh interpreter."""
+    path = tmp_path / "alg.json"
+    path.write_text(text)
+    return subprocess.run(
+        [sys.executable, "-m", "chi_lie.cli", "verify", "--input", str(path)],
+        capture_output=True, text=True,
+    )
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    proc = run_verify_on(tmp_path, "[" * 100000 + "]" * 100000)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "nests too deeply" in proc.stderr
+
+
+def test_zero_denominator_is_an_input_error(tmp_path):
+    doc = heisenberg(3).to_json_dict()
+    doc["brackets"][0]["terms"][0]["c"] = "1/0"
+    proc = run_verify_on(tmp_path, json.dumps(doc))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "malformed Lie algebra JSON" in proc.stderr
+
+
+@pytest.mark.parametrize("dim, i, j, k", [
+    (3, 0.7, 1, 2), (3, 0, 1.2, 2), (3, 0, 1, 2.9), (3.5, 0, 1, 2), (3, 0, True, 2),
+])
+def test_non_integer_dim_or_index_is_an_input_error(tmp_path, dim, i, j, k):
+    # heisenberg(3)'s one bracket [e0, e1] = e2, with one number made a
+    # non-integer: int() of any of them would give back heisenberg(3)
+    doc = heisenberg(3).to_json_dict()
+    doc["dim"] = dim
+    doc["brackets"] = [{"i": i, "j": j, "terms": [{"k": k, "c": "1"}]}]
+    proc = run_verify_on(tmp_path, json.dumps(doc))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "is not an integer" in proc.stderr
+
+
 def test_unknown_catalog_name_is_an_input_error(capsys):
     code, _, _ = run_cli(capsys, "chi", "--catalog", "mystery")
     assert code == 1

@@ -30,9 +30,9 @@ from chi_lie import (
 )
 from oracles import (
     brute_closure,
+    dense_bracket,
     dense_hom_defect,
-    exterior_relations,
-    gauss_rref,
+    exterior_classes,
     rebased_table,
     seeded_basis,
 )
@@ -169,16 +169,19 @@ def test_close_inserts_seeds_first_then_expands_newest_row():
 
 @pytest.mark.parametrize("g", CATALOG + [h for h, _, _ in REBASED], ids=lambda g: g.name)
 def test_exterior_square_relations_match_all_triples_loop(g):
-    """Same relation subspace, so the same projection of every coordinate wedge."""
-    rows, pivots = gauss_rref(exterior_relations(g.dim, g.table))
-    nw = g.dim * (g.dim - 1) // 2
-    cc = [t for t in range(nw) if t not in pivots]
-    want = []
-    for t in range(nw):
-        if t in cc:
-            want.append([F(int(c == t)) for c in cc])
-        else:
-            want.append([-rows[pivots.index(t)][c] for c in cc])
+    """Same relation subspace, so the same quotient coordinates and table."""
+    coords, classes = exterior_classes(g.dim, g.table)
+    pairs = [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)]
     sq = exterior_square(g)
-    assert sq.dim == len(cc)
-    assert [list(v) for v in sq.generators] == want
+    assert sq.dim == len(coords)
+    assert sq.table.labels == tuple(f"{g.labels[i]}^{g.labels[j]}" for i, j in coords)
+    units = [[F(int(i == j)) for j in range(g.dim)] for i in range(g.dim)]
+    phi = [dense_bracket(g.dim, g.table, units[i], units[j]) for i, j in coords]
+    for a in range(len(coords)):
+        for b in range(a + 1, len(coords)):
+            want = [F(0)] * len(coords)
+            for (p, q), cls in zip(pairs, classes):
+                x = phi[a][p] * phi[b][q] - phi[a][q] * phi[b][p]
+                if x:
+                    want = [w + x * c for w, c in zip(want, cls)]
+            assert list(sq.table.bracket_basis(a, b)) == want, (a, b)

@@ -199,20 +199,6 @@ def test_eval_expr_rejects_out_of_range_leaf():
         eval_in_algebra(BracketExpr.gen(2), _generators(f), f.algebra)
 
 
-def test_bracket_expr_json_round_trip():
-    e = BracketExpr.add(
-        BracketExpr.br(BracketExpr.gen(0), BracketExpr.gen(1)),
-        BracketExpr.scale(F(-3, 2), BracketExpr.gen(2)),
-    )
-    back = BracketExpr.from_json_dict(e.to_json_dict())
-    assert back.to_json_dict() == e.to_json_dict()
-
-
-def test_bracket_expr_rejects_malformed_json():
-    with pytest.raises(ChiLieError):
-        BracketExpr.from_json_dict({"mystery": 1})
-
-
 def test_lyndon_element_labels_show_bracketing():
     names = [str(el) for el in lyndon_basis(2, 3)]
     assert names[0] == "x0"

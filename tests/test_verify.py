@@ -9,6 +9,7 @@ from chi_lie import (
     LieAlgebra,
     LieHom,
     Matrix,
+    Subspace,
     compute_homology,
     run_checks,
 )
@@ -132,3 +133,24 @@ def test_homology_disagreement_shows_up_as_failure(chi_of, homology_of):
     by_id = {r.id: r for r in rep.checks}
     assert by_id["C5"].status == "fail"
     assert by_id["C5"].witness is not None
+
+
+def test_abelianization_cap_fails_when_l_is_the_whole_algebra(chi_of, homology_of):
+    # chi(abelian(2)) has dim 5 and a 1-dimensional derived algebra, so with
+    # L set to all of it the abelianization is 4 > 2 + C(2,2)
+    c = chi_of("abelian", 2)
+    whole = dataclasses.replace(c, L=Subspace.full(c.chi.dim))
+    by_id = {r.id: r for r in run_checks(whole, homology_of("abelian", 2)).checks}
+    assert by_id["C9"].status == "fail"
+    assert by_id["C9"].witness == {"dim_L_ab": 4, "cap": 3}
+
+
+def test_two_generated_base_fails_with_nonzero_r(chi_of, homology_of):
+    c = chi_of("heisenberg", 3)
+    bad = dataclasses.replace(c, R=Subspace.span([c.chi.basis_vector(c.chi.dim - 1)], c.chi.dim))
+    by_id = {r.id: r for r in run_checks(bad, homology_of("heisenberg", 3)).checks}
+    assert by_id["C10"].status == "fail"
+    assert by_id["C10"].witness == {
+        "generating_pair": [["1", "0", "0"], ["0", "1", "0"]],
+        "dim_R": 1,
+    }
