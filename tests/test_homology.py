@@ -24,7 +24,13 @@ from chi_lie import (
     sl2,
     validate,
 )
-from chi_lie.homology import _hopf_setting, ce_boundary2, ce_boundary3
+from chi_lie.homology import (
+    _hopf_setting,
+    ce_boundary2,
+    ce_boundary3,
+    wedge_pairs,
+    wedge_vector,
+)
 from chi_lie.linalg import SparseEchelon, vec_is_zero
 from chi_lie.nilquot import int_bracket_with_generator
 
@@ -131,6 +137,38 @@ def test_exterior_square_of_heisenberg():
     assert sq.dim == 3
     assert sq.phi.kernel().dim == 2
     assert sq.phi.image() == derived_subalgebra(heisenberg(3))
+
+
+def test_exterior_square_wedge_map_hits_generators():
+    # every coordinate wedge e_i ^ e_j is the unit vector of its pair, and
+    # each quotient coordinate is the class of its own coordinate wedge
+    g = heisenberg(3)
+    sq = exterior_square(g)
+    pairs = wedge_pairs(g.dim)
+    for t, (i, j) in enumerate(pairs):
+        w = wedge_vector(g.basis_vector(i), g.basis_vector(j), pairs)
+        assert w == tuple(F(int(s == t)) for s in range(len(pairs)))
+    coords, classes = exterior_classes(g.dim, g.table)
+    assert sq.dim == len(coords)
+    assert list(sq.table.labels) == [f"{g.labels[i]}^{g.labels[j]}" for i, j in coords]
+    for a, pair in enumerate(coords):
+        assert classes[pairs.index(pair)] == [F(int(b == a)) for b in range(sq.dim)]
+
+
+def test_exterior_square_wedge_alternates():
+    g = paper_example_1()
+    sq = exterior_square(g)
+    pairs = wedge_pairs(g.dim)
+    _, classes = exterior_classes(g.dim, g.table)
+    u = [F(0), F(1), F(1), F(-2)]
+    v = [F(1), F(2), F(-1), F(3)]
+
+    def cls(w):
+        return tuple(sum((x * c[b] for x, c in zip(w, classes)), F(0)) for b in range(sq.dim))
+
+    assert all(x == 0 for x in wedge_vector(v, v, pairs))
+    assert wedge_vector(u, v, pairs) == tuple(-x for x in wedge_vector(v, u, pairs))
+    assert sq.phi.apply(cls(wedge_vector(u, v, pairs))) == tuple(g.bracket(u, v))
 
 
 def test_exterior_square_phi_computes_bracket():
